@@ -5,18 +5,11 @@
    adversary that schedules badly and crashes processes.  This module
    makes that adversary mechanical:
 
-   - [Make(S).check_strong_crashes] replays the strong-linearizability
-     game on the execution tree {e extended with crash edges}: at every
-     node the adversary may, while its crash budget lasts, permanently
-     remove an enabled process.  A crash edge changes no history (the
-     trace is untouched), so the crash-extended tree is strongly
-     linearizable iff the crash-free tree is — crashing a process is
-     indistinguishable from the adversary never scheduling it again, and
-     each crash-maximal node's history already appears at an interior
-     node of the crash-free tree.  The game is still worth running: it
-     mechanically cross-validates that equivalence (the checker's answer
-     must match [Lincheck.check_strong]'s on every E1 construction) and
-     exercises the pending-forever histories crashes create.
+   - Crashes inside the strong-linearizability game need no code here:
+     [Lincheck.Make(S).check_strong_stats ~crashes] lets the game's
+     adversary crash an enabled process as well as step it.  A crash
+     edge changes no history, so that verdict must equal the crash-free
+     one, which experiment E7 checks.
 
    - [Make(S).wait_free_bound] walks the whole crash-free schedule tree
      and reports the worst steps-per-operation over every complete
@@ -43,7 +36,6 @@
 
 (* Instruments, registered once (the functor may be instantiated per
    spec; counters live here so the registry holds one of each). *)
-let c_crash_nodes = Obs.counter "adversary.crash_game.nodes"
 let c_fuzz_runs = Obs.counter "adversary.fuzz.runs"
 let c_fuzz_steps = Obs.counter "adversary.fuzz.steps"
 let c_fuzz_pruned = Obs.counter "adversary.fuzz.checks_pruned"
@@ -75,155 +67,6 @@ module Make (S : Spec.S) = struct
     | Trace.Step { proc; obj; info; noop = _ } ->
         Printf.sprintf "s%d:%s%s" proc obj
           (match info with Some i -> ":" ^ i | None -> "")
-
-  (* ---------------- the crash game ------------------------------------ *)
-
-  type crash_action = Step of int | Crash of int
-
-  let pp_crash_action fmt = function
-    | Step p -> Format.pp_print_int fmt p
-    | Crash p -> Format.fprintf fmt "!%d" p
-
-  let pp_crash_actions fmt l = List.iter (pp_crash_action fmt) l
-
-  type crash_verdict =
-    | Crash_strongly_linearizable of { nodes : int }
-    | Crash_not_linearizable of { actions : crash_action list }
-    | Crash_not_strongly_linearizable of { actions : crash_action list; nodes : int }
-    | Crash_inconclusive of { nodes : int; reason : Lincheck.budget_reason }
-
-  let pp_crash_verdict fmt = function
-    | Crash_strongly_linearizable { nodes } ->
-        Format.fprintf fmt "strongly linearizable under crashes (%d nodes explored)" nodes
-    | Crash_not_linearizable { actions } ->
-        Format.fprintf fmt "NOT linearizable under crashes (actions: %a)" pp_crash_actions
-          actions
-    | Crash_not_strongly_linearizable { actions; nodes } ->
-        Format.fprintf fmt "NOT strongly linearizable under crashes (actions: %a; %d nodes)"
-          pp_crash_actions actions nodes
-    | Crash_inconclusive { nodes; reason } ->
-        Format.fprintf fmt "inconclusive under crashes (%s budget, %d nodes)"
-          (Lincheck.budget_reason_tag reason)
-          nodes
-
-  exception Found_crash_not_linearizable of crash_action list
-
-  let run_actions prog actions =
-    let w = Sim.create ~n:prog.Sim.procs in
-    prog.Sim.boot w;
-    List.iter (function Step p -> Sim.step w p | Crash p -> Sim.crash w p) actions;
-    w
-
-  (* The strong-linearizability game of [Lincheck.check_strong_stats]
-     with the adversary's move set enlarged: besides stepping any
-     enabled process it may crash one, [crashes] times in total per
-     branch.  Crash edges add no trace events, so this decides strong
-     linearizability of the crash-extended execution tree; soundness and
-     the game structure are exactly the checker's.
-
-     Node evaluation is the checker's incremental engine
-     ([Lincheck.Make(S).Internal]): each node's records and precedence
-     masks derive from its parent's in O(delta) — a crash edge appends
-     no events, so the child shares the parent's arrays outright — and
-     every [checkpoint_stride]-th tree level is re-derived from a full
-     trace replay and compared ([cross_check]).  One mutable spine world
-     descends a single action when the solver expands the first child of
-     the node it just evaluated; any other move rebuilds via
-     [run_actions].  The cache keys pack the action path one byte per
-     action (crash = process + 128). *)
-  let check_strong_crashes ?(max_nodes = 2_000_000) ?max_depth ?budget_ms
-      ?(checkpoint_stride = 16) ~crashes (prog : (S.op, S.resp) Sim.program) : crash_verdict =
-    let stride = max 1 checkpoint_stride in
-    if prog.Sim.procs > 128 then
-      invalid_arg "Adversary.check_strong_crashes: at most 128 processes";
-    let t0 = Obs.now_ns () in
-    let nodes = ref 0 in
-    let tripped = ref Lincheck.Budget_nodes in
-    let stop reason =
-      tripped := reason;
-      raise Lincheck.Budget_exhausted
-    in
-    let key_char = function
-      | Step p -> Char.unsafe_chr p
-      | Crash p -> Char.unsafe_chr (p + 128)
-    in
-    let cache : (string, L.Internal.node_info) Hashtbl.t = Hashtbl.create 1024 in
-    let apply w = function Step p -> Sim.step w p | Crash p -> Sim.crash w p in
-    let ev_path : crash_action list ref = ref [] in
-    let ev_world : (S.op, S.resp) Sim.t option ref = ref None in
-    let world_at path =
-      let w =
-        match (path, !ev_world) with
-        | a :: tl, Some w when tl == !ev_path ->
-            apply w a;
-            w
-        | _ -> run_actions prog (List.rev path)
-      in
-      ev_path := path;
-      ev_world := Some w;
-      w
-    in
-    let node_data path depth key parent_info =
-      match Hashtbl.find_opt cache key with
-      | Some info -> info
-      | None ->
-          incr nodes;
-          Obs.incr c_crash_nodes;
-          if !nodes > max_nodes then stop Lincheck.Budget_nodes;
-          (match budget_ms with
-          | Some ms when Obs.now_ns () - t0 > ms * 1_000_000 -> stop Lincheck.Budget_wall
-          | _ -> ());
-          let w = world_at path in
-          let info =
-            match parent_info with
-            | Some pi -> L.Internal.extend_info pi w
-            | None -> L.Internal.info_of_world w
-          in
-          if depth mod stride = 0 then L.Internal.cross_check info w;
-          Hashtbl.add cache key info;
-          info
-    in
-    let deepest = ref [] in
-    let deepest_len = ref 0 in
-    let rec solve path depth key parent_info budget (lin : L.linearization) =
-      let info = node_data path depth key parent_info in
-      let en = L.Internal.enabled_of info in
-      let en = match max_depth with Some d when depth >= d -> [] | _ -> en in
-      let children =
-        List.map (fun p -> Step p) en
-        @ (if budget > 0 then List.map (fun p -> Crash p) en else [])
-      in
-      match L.Internal.validate_info info lin with
-      | None -> false
-      | Some states -> (
-          match L.Internal.extensions_info info lin states with
-          | [] ->
-              if not (L.Internal.root_linearizable info) then
-                raise (Found_crash_not_linearizable (List.rev path));
-              if depth > !deepest_len then begin
-                deepest := List.rev path;
-                deepest_len := depth
-              end;
-              false
-          | candidates ->
-              children = []
-              || List.exists
-                   (fun cand ->
-                     List.for_all
-                       (fun a ->
-                         let budget' = match a with Crash _ -> budget - 1 | Step _ -> budget in
-                         solve (a :: path) (depth + 1)
-                           (key ^ String.make 1 (key_char a))
-                           (Some info) budget' cand)
-                       children)
-                   candidates)
-    in
-    match solve [] 0 "" None crashes [] with
-    | true -> Crash_strongly_linearizable { nodes = !nodes }
-    | false -> Crash_not_strongly_linearizable { actions = !deepest; nodes = !nodes }
-    | exception Found_crash_not_linearizable actions -> Crash_not_linearizable { actions }
-    | exception Lincheck.Budget_exhausted ->
-        Crash_inconclusive { nodes = !nodes; reason = !tripped }
 
   (* ---------------- exhaustive wait-freedom bound --------------------- *)
 

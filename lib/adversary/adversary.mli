@@ -6,12 +6,6 @@
     an adversary that schedules badly and crashes processes.  This
     module is that adversary, made mechanical:
 
-    - {!Make.check_strong_crashes}: the checker's game on the execution
-      tree extended with crash edges (a crash permanently removes an
-      enabled process; it adds no trace events, so the crash-extended
-      tree is strongly linearizable iff the crash-free one is — the game
-      cross-validates that equivalence and exercises pending-forever
-      histories);
     - {!Make.wait_free_bound}: exhaustive worst-case steps-per-operation
       over the whole crash-free schedule tree;
     - {!Make.find_livelock}: lock-freedom refutation by lasso detection,
@@ -21,55 +15,13 @@
       ≤(k−1)-crash plan over a canonical schedule family, checking k-set
       agreement's validity, agreement and termination.
 
-    Observability: the module registers [adversary.*] counters
-    (crash-game nodes, fuzz runs/steps, lasso candidates, sweep runs),
-    live when [Obs.enabled]. *)
+    The strong-linearizability game against a crashing adversary is the
+    checker's own: [Lincheck.Make(S).check_strong_stats ~crashes].
+
+    Observability: the module registers [adversary.*] counters (fuzz
+    runs/steps, lasso candidates, sweep runs), live when [Obs.enabled]. *)
 
 module Make (S : Spec.S) : sig
-  (** {1 Crash-schedule enumeration} *)
-
-  (** One adversary move: step an enabled process, or crash one. *)
-  type crash_action = Step of int | Crash of int
-
-  val pp_crash_actions : Format.formatter -> crash_action list -> unit
-  (** Compact rendering: step as the process id, crash as [!id]. *)
-
-  type crash_verdict =
-    | Crash_strongly_linearizable of { nodes : int }
-        (** A prefix-closed linearization function exists on the whole
-            crash-extended tree. *)
-    | Crash_not_linearizable of { actions : crash_action list }
-        (** Some crash execution is not even linearizable. *)
-    | Crash_not_strongly_linearizable of { actions : crash_action list; nodes : int }
-        (** No prefix-closed choice exists; [actions] is the deepest
-            dead end. *)
-    | Crash_inconclusive of { nodes : int; reason : Lincheck.budget_reason }
-
-  val pp_crash_verdict : Format.formatter -> crash_verdict -> unit
-
-  val check_strong_crashes :
-    ?max_nodes:int ->
-    ?max_depth:int ->
-    ?budget_ms:int ->
-    ?checkpoint_stride:int ->
-    crashes:int ->
-    (S.op, S.resp) Sim.program ->
-    crash_verdict
-  (** Solve the strong-linearizability game on [prog]'s execution tree
-      extended with up to [crashes] crash edges per branch.  Because a
-      crash edge changes no history, the verdict must agree with
-      [Lincheck.check_strong] on the same program — a mechanical
-      cross-validation of the crash-robustness of every SL verdict.
-      [max_nodes] defaults to 2M (crash edges enlarge the tree ~(n+1)×
-      per allowed crash).
-
-      Node evaluation shares the checker's incremental engine: each
-      node derives from its parent in O(trace delta), and every
-      [checkpoint_stride]-th (default 16, clamped to >= 1) tree level is
-      re-derived from a full replay and compared — a pure cross-check,
-      results are identical for every stride.  At most 128 processes
-      (cache keys pack one action per byte). *)
-
   (** {1 Wait-freedom, exhaustively} *)
 
   type wf_report = {

@@ -493,25 +493,31 @@ module E7_row (S : Spec.S) = struct
   module L = Lincheck.Make (S)
   module A = Adversary.Make (S)
 
-  let run ~name ~make ~workload ?max_nodes ?max_depth ?wf_max_nodes () =
+  let run ~name ~make ~workload ?max_nodes ?max_depth ?wf_max_nodes ?jobs () =
     let prog = Harness.program ~make ~workload in
     let v = L.check_strong ?max_nodes ?max_depth prog in
-    let cv = A.check_strong_crashes ?max_nodes ?max_depth ~crashes:1 prog in
+    (* Crash edges enlarge the tree ~(n+1)x per allowed crash: a larger
+       default node budget than the crash-free game's. *)
+    let cv, _ =
+      L.check_strong_stats
+        ~max_nodes:(Option.value max_nodes ~default:2_000_000)
+        ?max_depth ?jobs ~crashes:1 prog
+    in
     let crash_col =
       let tag, nodes =
         match cv with
-        | A.Crash_strongly_linearizable { nodes } -> ("SL", nodes)
-        | A.Crash_not_linearizable _ -> ("NOT-LIN", -1)
-        | A.Crash_not_strongly_linearizable { nodes; _ } -> ("NOT-SL", nodes)
-        | A.Crash_inconclusive { nodes; _ } -> ("budget", nodes)
+        | L.Strongly_linearizable { nodes } -> ("SL", nodes)
+        | L.Not_linearizable _ -> ("NOT-LIN", -1)
+        | L.Not_strongly_linearizable { nodes; _ } -> ("NOT-SL", nodes)
+        | L.Out_of_budget { nodes; _ } -> ("budget", nodes)
       in
       let agrees =
         match (v, cv) with
-        | L.Strongly_linearizable _, A.Crash_strongly_linearizable _
-        | L.Not_linearizable _, A.Crash_not_linearizable _
-        | L.Not_strongly_linearizable _, A.Crash_not_strongly_linearizable _ ->
+        | L.Strongly_linearizable _, L.Strongly_linearizable _
+        | L.Not_linearizable _, L.Not_linearizable _
+        | L.Not_strongly_linearizable _, L.Not_strongly_linearizable _ ->
             "agrees"
-        | _, A.Crash_inconclusive _ -> "-"
+        | _, L.Out_of_budget _ -> "-"
         | _ -> "DISAGREES"
       in
       if nodes < 0 then Printf.sprintf "%s (%s)" tag agrees
@@ -560,12 +566,12 @@ let e7 ?(jobs = 1) () =
         [ Spec.Max_register.WriteMax 2 ];
         [ Spec.Max_register.ReadMax ];
       |]
-    ();
+    ~jobs ();
   let module Row_counter = E7_row (Spec.Counter) in
   Row_counter.run ~name:"Thm 3: counter <- atomic snapshot" ~make:Executors.simple_counter_atomic_snap
     ~workload:
       [| [ Spec.Counter.Add 1 ]; [ Spec.Counter.Add 2 ]; [ Spec.Counter.Read; Spec.Counter.Read ] |]
-    ();
+    ~jobs ();
   let module Row_ts = E7_row (Spec.Test_and_set) in
   Row_ts.run ~name:"Thm 5: readable T&S <- T&S" ~make:Executors.readable_ts
     ~workload:
@@ -574,7 +580,7 @@ let e7 ?(jobs = 1) () =
         [ Spec.Test_and_set.TestAndSet ];
         [ Spec.Test_and_set.Read; Spec.Test_and_set.Read ];
       |]
-    ();
+    ~jobs ();
   let module Row_fi = E7_row (Spec.Fetch_and_inc) in
   Row_fi.run ~name:"Thm 9: fetch&inc <- T&S" ~make:Executors.ts_fetch_inc
     ~workload:
@@ -583,11 +589,11 @@ let e7 ?(jobs = 1) () =
         [ Spec.Fetch_and_inc.FetchInc ];
         [ Spec.Fetch_and_inc.Read ];
       |]
-    ();
+    ~jobs ();
   let module Row_set = E7_row (Spec.Set_obj) in
   Row_set.run ~name:"Thm 10: set <- T&S (Alg 2)" ~make:Executors.ts_set_atomic_fi
     ~workload:[| [ Spec.Set_obj.Put 1 ]; [ Spec.Set_obj.Take ] |]
-    ();
+    ~jobs ();
   let module Row_reg = E7_row (Spec.Register) in
   Row_reg.run ~name:"MWMR register (E2 refutation)" ~make:Executors.mwmr_register
     ~workload:
@@ -596,11 +602,11 @@ let e7 ?(jobs = 1) () =
         [ Spec.Register.Write 2 ];
         [ Spec.Register.Read; Spec.Register.Read ];
       |]
-    ~max_nodes:2_000_000 ();
+    ~max_nodes:2_000_000 ~jobs ();
   let module Row_q = E7_row (Spec.Queue_spec) in
   Row_q.run ~name:"HW queue (E2 refutation)" ~make:Executors.hw_queue
     ~workload:[| [ Spec.Queue_spec.Enq 1 ]; [ Spec.Queue_spec.Deq ]; [ Spec.Queue_spec.Deq ] |]
-    ~max_nodes:400_000 ~max_depth:18 ~wf_max_nodes:400_000 ();
+    ~max_nodes:400_000 ~max_depth:18 ~wf_max_nodes:400_000 ~jobs ();
   Format.printf
     "(expected: every crash-extended verdict agrees with the crash-free one;\n\
      wait-free constructions get exhaustive bounds; the HW queue's spinning\n\

@@ -589,16 +589,29 @@ module Make (S : Spec.S) = struct
     | Not_strongly_linearizable of { witness : int list; nodes : int }
     | Out_of_budget of { nodes : int; reason : budget_reason }
 
+  (* The game's actions: code [p] steps process [p], code
+     [crash_code + p] crashes it (only offered when [crashes > 0]).  One
+     action is one byte of a packed cache key, hence at most 128
+     processes in a crash game.  A crash appends no trace event: it only
+     removes the process from the enabled set. *)
+  let crash_code = 128
+
+  let apply_action w a = if a >= crash_code then Sim.crash w (a - crash_code) else Sim.step w a
+
+  let pp_actions l =
+    String.concat ""
+      (List.map
+         (fun a -> if a >= crash_code then "!" ^ string_of_int (a - crash_code) else string_of_int a)
+         l)
+
   let pp_verdict fmt = function
     | Strongly_linearizable { nodes } ->
         Format.fprintf fmt "strongly linearizable (%d nodes explored)" nodes
     | Not_linearizable { schedule } ->
-        Format.fprintf fmt "NOT linearizable (schedule: %s)"
-          (String.concat "" (List.map string_of_int schedule))
+        Format.fprintf fmt "NOT linearizable (schedule: %s)" (pp_actions schedule)
     | Not_strongly_linearizable { witness; nodes } ->
         Format.fprintf fmt "linearizable but NOT strongly linearizable (witness: %s; %d nodes)"
-          (String.concat "" (List.map string_of_int witness))
-          nodes
+          (pp_actions witness) nodes
     | Out_of_budget { nodes; reason = Budget_nodes } ->
         Format.fprintf fmt "inconclusive: budget of %d nodes exhausted" nodes
     | Out_of_budget { nodes; reason = Budget_wall } ->
@@ -635,8 +648,10 @@ module Make (S : Spec.S) = struct
     en_tripped : budget_reason ref;
     en_pruned : bool ref;
         (* the preempt bound dropped at least one enabled child *)
-    en_solve : int list -> int -> int -> string -> node_info option -> linearization -> bool;
-        (* path, depth, preemption-switch count, packed key, parent, lin *)
+    en_solve :
+      int list -> int -> int -> int list -> string -> node_info option -> linearization -> bool;
+        (* action path, depth, preemption-switch count, crashed processes
+           (sorted), packed key, parent, lin *)
   }
 
   (* Result of one parallel column (a top-level subtree solved with the
@@ -691,13 +706,27 @@ module Make (S : Spec.S) = struct
   let check_strong_stats ?(max_nodes = 200_000) ?max_depth ?budget_ms ?budget_heap_mb
       ?on_progress ?(progress_every = 10_000) ?(progress_every_ms = 1000) ?tracer ?profiler
       ?coverage ?(jobs = 1) ?(checkpoint_stride = 16) ?interrupt
-      ?checkpointing ?(reduce = false) ?(reduce_check = false) ?preempt_bound
+      ?checkpointing ?(reduce = false) ?(reduce_check = false) ?preempt_bound ?(crashes = 0)
       (prog : (S.op, S.resp) Sim.program) : verdict * stats =
     let stride = max 1 checkpoint_stride in
     let jobs = max 1 jobs in
     let reduce = reduce || reduce_check in
     let preempt_bound = Option.map (max 0) preempt_bound in
     if prog.Sim.procs > 255 then invalid_arg "Lincheck: more than 255 processes";
+    if crashes > 0 && prog.Sim.procs > 128 then
+      invalid_arg "Lincheck: a crash game allows at most 128 processes";
+    if crashes > 0 && preempt_bound <> None then
+      invalid_arg "Lincheck: crashes and preempt_bound do not combine";
+    (* A node's moves: step any enabled process and, while the branch has
+       crashes left, crash any enabled process.  Crash-free games return
+       the enabled list itself. *)
+    let children (info : node_info) ~crashed =
+      if List.length crashed >= crashes then info.enabled
+      else info.enabled @ List.map (fun p -> crash_code + p) info.enabled
+    in
+    let crashed_after a crashed =
+      if a < crash_code then crashed else List.merge compare [ a - crash_code ] crashed
+    in
     let t0 = Obs.now_ns () in
     let lane_for w = Option.map (fun p -> Prof.lane p ~domain:w) profiler in
     let cov_for w = Option.map (fun c -> Coverage.shard c ~domain:w) coverage in
@@ -760,12 +789,12 @@ module Make (S : Spec.S) = struct
          path; read only at the kill site.  Never feeds back. *)
       let last_fail = ref Prof.Kill_mismatch in
       (* Node cache, keyed by the schedule prefix packed into a string
-         (one byte per process index): hashing and equality become memcmp
+         (one byte per action code): hashing and equality become memcmp
          on a flat buffer instead of a polymorphic walk of an int list. *)
       let cache : (string, node_info) Hashtbl.t = Hashtbl.create 1024 in
       (* Spine world: the live world of the most recently evaluated fresh
          node.  Descending to that node's first fresh child is one
-         [Sim.step]; any other fresh node is a full replay.  Fibers are
+         action; any other fresh node is a full replay.  Fibers are
          one-shot continuations, so a world cannot be snapshotted — this
          single mutable spine is the only execution reuse available. *)
       let ev_world : (S.op, S.resp) Sim.t option ref = ref None in
@@ -776,17 +805,18 @@ module Make (S : Spec.S) = struct
            for its fingerprint before deciding whether to explore): the
            spine already sits there. *)
         | p, Some w when p == !ev_path -> w
-        | p :: tl, Some w when tl == !ev_path ->
-            Sim.step w p;
+        | a :: tl, Some w when tl == !ev_path ->
+            apply_action w a;
             ev_path := path;
             w
         | _ ->
-            let w = Sim.run_schedule prog (List.rev path) in
+            let w = Sim.run_schedule prog [] in
+            List.iter (apply_action w) (List.rev path);
             ev_world := Some w;
             ev_path := path;
             w
       in
-      let node_data path depth key parent =
+      let node_data path depth crashed key parent =
         match Hashtbl.find_opt cache key with
         | Some info ->
             incr cache_hits;
@@ -827,7 +857,7 @@ module Make (S : Spec.S) = struct
                 let branching =
                   match max_depth with
                   | Some d when depth >= d -> 0
-                  | _ -> List.length info.enabled
+                  | _ -> List.length (children info ~crashed)
                 in
                 Coverage.observe_node sh ~depth ~branching (Sim.trace w)
             | None -> ());
@@ -841,21 +871,25 @@ module Make (S : Spec.S) = struct
          function of the node's commutation class (trace-equivalent
          prefixes have identical record arrays and enabled sets, hence
          isomorphic future subtrees), its depth, its preemption-switch
-         count and the inherited linearization — so one entry per
-         (column, class fingerprint, depth, switches, lin) answers every
-         twin.  Only committed results land here: a budget trip or a
-         refutation unwinds as an exception and stores nothing.  The
+         count, its crashed set and the inherited linearization — so one
+         entry per (column, class fingerprint, depth, switches, crashed,
+         lin) answers every twin.  The crashed set is not implied by the
+         fingerprint: a crash appends no trace event, yet it shrinks the
+         enabled set and spends the branch's crash budget.  Only
+         committed results land here: a budget trip or a refutation
+         unwinds as an exception and stores nothing.  The
          leading column byte keeps a shared table partitioned exactly
          like the per-column engines', so sequential and per-column runs
          explore (and count) identically. *)
-      let memo : (char * int * int * int * linearization, bool) Hashtbl.t option =
+      let memo : (char * int * int * int * int list * linearization, bool) Hashtbl.t option =
         if reduce then Some (Hashtbl.create 1024) else None
       in
       (* [path] is kept reversed for cheap extension; [depth] is its
-         length; [switches] the preemptions charged so far; [key] its
-         packed cache key; [parent] the parent node's evaluated state
-         (None only at the engine's entry node). *)
-      let rec solve path depth switches key parent (lin : linearization) =
+         length; [switches] the preemptions charged so far; [crashed] the
+         processes crashed along it, sorted; [key] its packed cache key;
+         [parent] the parent node's evaluated state (None only at the
+         engine's entry node). *)
+      let rec solve path depth switches crashed key parent (lin : linearization) =
         if depth > !max_frontier then max_frontier := depth;
         match memo with
         | Some m when depth > 0 -> (
@@ -874,7 +908,7 @@ module Make (S : Spec.S) = struct
                   | Some pi -> Reduct.fp_feed_list pi.fp (Sim.events_from w ~from:pi.trace_len)
                   | None -> Reduct.fp_feed_list Reduct.fp_empty (Sim.trace w))
             in
-            let mkey = (key.[0], Reduct.fp_value fp, depth, switches, lin) in
+            let mkey = (key.[0], Reduct.fp_value fp, depth, switches, crashed, lin) in
             match Hashtbl.find_opt m mkey with
             | Some res when not reduce_check ->
                 (match lane with Some l -> Prof.prune l | None -> ());
@@ -884,23 +918,25 @@ module Make (S : Spec.S) = struct
                 (* Debug cross-validation: re-explore the twin subtree
                    and insist commuting steps really did yield an
                    isomorphic (same-verdict) subtree. *)
-                let info = node_data path depth key parent in
-                let res' = solve_node info path depth switches key lin in
+                let info = node_data path depth crashed key parent in
+                let res' = solve_node info path depth switches crashed key lin in
                 if res' <> res then
                   invalid_arg
                     "Lincheck: reduction cross-check failed — commutation-equivalent subtrees \
                      disagree";
                 res'
             | None ->
-                let info = node_data path depth key parent in
-                let res = solve_node info path depth switches key lin in
+                let info = node_data path depth crashed key parent in
+                let res = solve_node info path depth switches crashed key lin in
                 Hashtbl.replace m mkey res;
                 res)
         | _ ->
-            let info = node_data path depth key parent in
-            solve_node info path depth switches key lin
-      and solve_node info path depth switches key (lin : linearization) =
-        let children = match max_depth with Some d when depth >= d -> [] | _ -> info.enabled in
+            let info = node_data path depth crashed key parent in
+            solve_node info path depth switches crashed key lin
+      and solve_node info path depth switches crashed key (lin : linearization) =
+        let children =
+          match max_depth with Some d when depth >= d -> [] | _ -> children info ~crashed
+        in
         (* Conservative preemption bound: past [preempt_bound] switches
            only the currently scheduled process may continue (while it
            stays enabled).  Dropping children of a ∀-quantified game node
@@ -964,7 +1000,9 @@ module Make (S : Spec.S) = struct
                     | cand :: rest ->
                         if
                           List.for_all
-                            (fun (p, sw, k) -> solve (p :: path) (depth + 1) sw k (Some info) cand)
+                            (fun (p, sw, k) ->
+                              solve (p :: path) (depth + 1) sw (crashed_after p crashed) k
+                                (Some info) cand)
                             kids
                         then true
                         else begin
@@ -1030,7 +1068,7 @@ module Make (S : Spec.S) = struct
       let eng = new_engine ~on_tick ~poll:ignore ~lane ~cov:(cov_for 0) ~bump_global:ignore () in
       (match lane with Some l -> Prof.begin_span l Prof.Solve () | None -> ());
       let verdict =
-        match eng.en_solve [] 0 0 "" None [] with
+        match eng.en_solve [] 0 0 [] "" None [] with
         | true ->
             if !(eng.en_pruned) then
               Out_of_budget { nodes = !(eng.en_nodes); reason = Budget_preempt }
@@ -1055,8 +1093,8 @@ module Make (S : Spec.S) = struct
     (* Parallel solving.  The root node's history is empty, so its only
        minimal extension is the empty linearization: the game reduces to
        "every top-level subtree must succeed with lin = []", and those
-       subtrees — one per process enabled at the root — are the parallel
-       columns.  Their schedule prefixes are disjoint, so each worker
+       subtrees — one per root move: each enabled process stepped, then
+       each crashed when crashes are allowed — are the parallel columns.  Their schedule prefixes are disjoint, so each worker
        engine's cache and counters reproduce exactly the slice of the
        sequential run that falls inside its column; the merge walks the
        columns in sequential order and stops where the one-engine run
@@ -1087,7 +1125,9 @@ module Make (S : Spec.S) = struct
         let w0 = Sim.run_schedule prog [] in
         let root_info = info_of_world w0 in
         cross_check root_info w0;
-        let columns = match max_depth with Some d when d <= 0 -> [] | _ -> root_info.enabled in
+        let columns =
+          match max_depth with Some d when d <= 0 -> [] | _ -> children root_info ~crashed:[]
+        in
         (* The root node is evaluated here, not in any worker column;
            observe it on shard 0 (as the merge lane does for profiling). *)
         (match cov_for 0 with
@@ -1207,7 +1247,9 @@ module Make (S : Spec.S) = struct
               | None -> ());
               let outcome =
                 match
-                  eng.en_solve [ p ] 1 0 (String.make 1 (Char.unsafe_chr p)) (Some root_info) []
+                  eng.en_solve [ p ] 1 0 (crashed_after p [])
+                    (String.make 1 (Char.unsafe_chr p))
+                    (Some root_info) []
                 with
                 | true -> Col_ok true
                 | false ->
@@ -1398,9 +1440,8 @@ module Make (S : Spec.S) = struct
 
   (* Exposed (under [Internal]) for the witness forensics in
      [Witness.Make] (which replays the enumerator on small certificate
-     subtrees) and for the crash adversary in [Adversary.Make] (which
-     runs the same incremental node evaluation over its crash-extended
-     tree).  Not part of the checking API proper. *)
+     subtrees) and for the incremental-evaluation tests.  Not part of the
+     checking API proper. *)
   module Internal = struct
     let validate_prefix = validate_prefix
 
@@ -1413,17 +1454,6 @@ module Make (S : Spec.S) = struct
     let extend_info = extend_info
 
     let cross_check = cross_check
-
-    let root_linearizable = root_linearizable
-
-    let enabled_of (info : node_info) = info.enabled
-
-    let records_of (info : node_info) = Array.to_list info.rec_arr
-
-    let validate_info (info : node_info) lin = validate_over info.rec_arr lin
-
-    let extensions_info (info : node_info) lin states =
-      extensions_over info.rec_arr info.pred info.completed_mask lin states
   end
 
   let verdict_fields = function

@@ -195,6 +195,7 @@ module Make (S : Spec.S) : sig
     ?reduce:bool ->
     ?reduce_check:bool ->
     ?preempt_bound:int ->
+    ?crashes:int ->
     (S.op, S.resp) Sim.program ->
     verdict * stats
   (** Like {!check_strong}, additionally returning exploration {!stats}.
@@ -295,7 +296,24 @@ module Make (S : Spec.S) : sig
       budgets and [reduce] (the switch count is part of the memo key).
       Refutations found under the bound are sound; a successful game
       with at least one child dropped degrades to [Out_of_budget] with
-      [Budget_preempt]. *)
+      [Budget_preempt].
+
+      [crashes] (default 0) lets the adversary also crash processes: at
+      every node, while the branch has crashed fewer than [crashes]
+      processes, each enabled process may be crashed as well as stepped
+      (the children are the steps, then the crashes, in enabled order).
+      A crash permanently removes the process and appends no trace
+      event, so its pending operation stays pending forever.  Schedules
+      and witnesses in the verdict are then action lists: [p] steps
+      process [p] and [128 + p] crashes it, printed as [!p] by
+      {!pp_verdict}.  Because a crash changes no history, the verdict
+      must agree with the crash-free one; node counts grow about
+      (n+1)-fold per allowed crash, so callers usually raise
+      [max_nodes].  Every other option applies unchanged: [jobs] also
+      solves crash columns in parallel, and [reduce] adds the crashed
+      set to its memo key.
+      @raise Invalid_argument when [crashes > 0] with more than 128
+      processes or together with [preempt_bound]. *)
 
   val verdict_fields : verdict -> (string * Obs_json.t) list
   (** The verdict as JSON fields (constructor tag plus its payload). *)
@@ -303,9 +321,8 @@ module Make (S : Spec.S) : sig
   (** {1 Internals}
 
       Building blocks of the game solver, exposed so {!Witness.Make} can
-      replay them on small certificate subtrees and so the crash
-      adversary can run the same incremental node evaluation over its
-      crash-extended tree.  Not intended for direct use. *)
+      replay them on small certificate subtrees and so tests can drive
+      the incremental node evaluation.  Not intended for direct use. *)
   module Internal : sig
     val validate_prefix :
       (S.op, S.resp) History.op_record list -> linearization -> S.state list option
@@ -323,8 +340,7 @@ module Make (S : Spec.S) : sig
 
     type node_info
     (** A tree node's evaluated state: record array, precedence masks,
-        enabled set, trace length, and a memoized root-linearizability
-        answer. *)
+        enabled set and trace length. *)
 
     val info_of_world : (S.op, S.resp) Sim.t -> node_info
     (** Evaluate a node from scratch (full trace walk). *)
@@ -338,20 +354,5 @@ module Make (S : Spec.S) : sig
     (** Compare the incrementally maintained records against a full
         re-derivation from [w]'s trace.
         @raise Invalid_argument on divergence (a checker bug). *)
-
-    val root_linearizable : node_info -> bool
-    (** Does the node's execution admit any linearization at all?
-        Memoized in the [node_info]. *)
-
-    val enabled_of : node_info -> int list
-
-    val records_of : node_info -> (S.op, S.resp) History.op_record list
-
-    val validate_info : node_info -> linearization -> S.state list option
-    (** {!validate_prefix} over the node's precomputed record array. *)
-
-    val extensions_info : node_info -> linearization -> S.state list -> linearization list
-    (** {!extensions} over the node's precomputed masks — no per-call
-        rebuild. *)
   end
 end

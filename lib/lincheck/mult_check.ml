@@ -30,7 +30,7 @@ type search_state = {
   group : (int * int list) option;  (* duplicated item, op ids in the group *)
 }
 
-let check_budgeted ?budget_nodes ?budget_ms ?(jobs = 1) ?(reduce = false) ?profiler ?coverage
+let check_budgeted ?budget_nodes ?budget_ms ?(reduce = false) ?profiler ?coverage
     (kind : kind) (t : (Spec.Queue_spec.op, Spec.Queue_spec.resp) Trace.t) : outcome =
   (* Coverage (passive): the checked trace is one observed world — its
      fingerprint and access pairs land on shard 0 before the DFS runs,
@@ -80,7 +80,7 @@ let check_budgeted ?budget_nodes ?budget_ms ?(jobs = 1) ?(reduce = false) ?profi
      per DFS state entered, budgets checked on entry so a tripped budget
      stops within one expansion. *)
   let t0 = Obs.now_ns () in
-  let visited = Atomic.make 0 in
+  let visited = ref 0 in
   let tripped = ref Lincheck.Budget_nodes in
   let stop reason =
     tripped := reason;
@@ -112,9 +112,9 @@ let check_budgeted ?budget_nodes ?budget_ms ?(jobs = 1) ?(reduce = false) ?profi
             r)
     | None -> dfs_state mask s
   and dfs_state mask s =
-    Atomic.incr visited;
+    incr visited;
     (match budget_nodes with
-    | Some b when Atomic.get visited > b -> stop Lincheck.Budget_nodes
+    | Some b when !visited > b -> stop Lincheck.Budget_nodes
     | _ -> ());
     (match budget_ms with
     | Some ms when Obs.now_ns () - t0 > ms * 1_000_000 -> stop Lincheck.Budget_wall
@@ -141,65 +141,20 @@ let check_budgeted ?budget_nodes ?budget_ms ?(jobs = 1) ?(reduce = false) ?profi
       !found
     end
   in
-  (* Root-branch parallelism: the first linearization step's candidate
-     (operation, outcome) pairs are independent sub-searches whose OR is
-     the answer, so they can run on [jobs] domains.  Only when no budget
-     is set — a deterministic budget trip needs the sequential visit
-     order — and the answer is the same OR either way. *)
-  let eff =
-    match (budget_nodes, budget_ms) with
-    | None, None when not reduce -> Steal_pool.effective_workers ~requested:jobs
-    | _ -> 1 (* the memo table is single-domain, like a budget's visit order *)
-  in
-  let solve () =
-    let s0 = { items = []; group = None } in
-    if eff <= 1 then dfs 0 s0
-    else begin
-      Atomic.incr visited;
-      (* the root state *)
-      if completed_mask = 0 then true
-      else begin
-        let branches =
-          Array.of_list
-            (List.concat
-               (List.init n (fun idx ->
-                    if pred.(idx) = 0 then
-                      List.filter_map
-                        (fun (s', resp) ->
-                          let resp_ok =
-                            match records.(idx).History.resp with
-                            | None -> true
-                            | Some actual -> Spec.Queue_spec.equal_resp actual resp
-                          in
-                          if resp_ok then Some (idx, s') else None)
-                        (outcomes s0 idx)
-                    else [])))
-        in
-        let found = Atomic.make false in
-        Steal_pool.parallel_for ~workers:eff ~n:(Array.length branches)
-          (fun ~worker:_ i ->
-            if not (Atomic.get found) then begin
-              let idx, s' = branches.(i) in
-              if dfs (1 lsl idx) s' then Atomic.set found true
-            end);
-        Atomic.get found
-      end
-    end
-  in
   (* Profiling (passive): one solve span for the DFS, one work unit per
      visited state, a budget kill when a budget trips. *)
   let lane = Option.map (fun p -> Prof.lane p ~domain:0) profiler in
   (match lane with Some l -> Prof.begin_span l Prof.Solve ~label:"mult dfs" () | None -> ());
   let outcome =
-    match solve () with
+    match dfs 0 { items = []; group = None } with
     | decided -> Decided decided
     | exception Lincheck.Budget_exhausted ->
         (match lane with Some l -> Prof.kill l Prof.Kill_budget | None -> ());
-        Inconclusive { visited = Atomic.get visited; reason = !tripped }
+        Inconclusive { visited = !visited; reason = !tripped }
   in
   (match lane with
   | Some l ->
-      Prof.add_nodes l (Atomic.get visited);
+      Prof.add_nodes l !visited;
       Prof.add_prunes l !prunes;
       Prof.end_span l
   | None -> ());

@@ -29,7 +29,6 @@ val check : kind -> (Spec.Queue_spec.op, Spec.Queue_spec.resp) Trace.t -> bool
 val check_budgeted :
   ?budget_nodes:int ->
   ?budget_ms:int ->
-  ?jobs:int ->
   ?reduce:bool ->
   ?profiler:Prof.t ->
   ?coverage:Coverage.t ->
@@ -41,18 +40,12 @@ val check_budgeted :
     budget yields [Inconclusive] instead of an unbounded search.  With no
     budgets set this is [Decided (check kind t)].
 
-    [jobs] (default 1, capped at the hardware parallelism) runs the
-    root-level linearization branches as independent sub-searches on
-    that many domains when no budget is set; the decision is the same
-    for every value.  Budgeted searches stay sequential — a
-    deterministic trip point needs the sequential visit order.
-
     [reduce] (default false) memoizes DFS states on (mask, items,
     group): linearization orders that converge on the same abstract
     state share one sub-search.  The decision is unchanged (the answer
     is a pure function of that key); [visited] counts drop, which is
-    why the memo is opt-in.  Forces the sequential search ([jobs]
-    ignored); memo hits are reported as profiler [prunes].
+    why the memo is opt-in.  Memo hits are reported as profiler
+    [prunes].
 
     [profiler] records the DFS as one solve span on lane 0 with one work
     unit per visited state (and a [budget] kill if a budget trips);

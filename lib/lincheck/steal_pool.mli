@@ -1,8 +1,7 @@
 (** Column-level parallelism for the exploration engines.
 
     The checker's parallel unit is one top-level column (one engine per
-    column); fuzz campaigns, the crash sweep and [Mult_check]'s root
-    fan-out use the same loop.  All of them go through {!parallel_for},
+    column); fuzz campaigns and the crash sweep use the same loop.  All of them go through {!parallel_for},
     which is exception-safe by construction: a raising body never leaves
     a domain unjoined.  (The module name is historical: it once held a
     work-stealing scheduler that split columns into subtree tasks.) *)

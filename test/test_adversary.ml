@@ -1,34 +1,66 @@
-(* Tests for Slin_adversary: the crash-extended strong-linearizability
-   game, exhaustive wait-freedom bounds, livelock lasso detection, the
-   seeded crash fuzzer, Algorithm B's crash sweep, and budgeted graceful
-   degradation in the checkers. *)
+(* Tests for Slin_adversary and the crash-extended strong-linearizability
+   game ([Lincheck.check_strong_stats ~crashes]): exhaustive wait-freedom
+   bounds, livelock lasso detection, the seeded crash fuzzer, Algorithm
+   B's crash sweep, and budgeted graceful degradation in the checkers. *)
+
+(* The jobs axis below must run two real domains even on a one-core
+   runner, where [effective_workers] would otherwise collapse it to the
+   sequential engine. *)
+let () = Unix.putenv "SLIN_DOMAIN_CAP" "2"
 
 (* ---------------- crash game vs crash-free game ----------------------- *)
 
 (* Crash edges add no trace events, so the crash-extended tree is
    strongly linearizable iff the crash-free one is; the crash game must
-   reproduce the plain verdict on every registry object it can afford. *)
+   reproduce the plain verdict on every registry object it can afford,
+   solved sequentially, in two columns at once, and under [reduce]. *)
 let crash_game_agrees name () =
   match Registry.find name with
   | None -> Alcotest.failf "unknown registry object %s" name
   | Some (Registry.Checkable c) ->
       let (module S) = c.spec in
       let module L = Lincheck.Make (S) in
-      let module A = Adversary.Make (S) in
       let prog = Harness.program ~make:c.make ~workload:c.workload in
       let v = L.check_strong ?max_depth:c.default_depth prog in
-      let cv = A.check_strong_crashes ?max_depth:c.default_depth ~crashes:1 prog in
-      let ok =
-        match (v, cv) with
-        | L.Strongly_linearizable _, A.Crash_strongly_linearizable _
-        | L.Not_linearizable _, A.Crash_not_linearizable _
-        | L.Not_strongly_linearizable _, A.Crash_not_strongly_linearizable _ ->
-            true
-        | _ -> false
+      List.iter
+        (fun (axis, jobs, reduce) ->
+          let cv, _ =
+            L.check_strong_stats ~max_nodes:2_000_000 ?max_depth:c.default_depth ~jobs ~reduce
+              ~crashes:1 prog
+          in
+          let ok =
+            match (v, cv) with
+            | L.Strongly_linearizable _, L.Strongly_linearizable _
+            | L.Not_linearizable _, L.Not_linearizable _
+            | L.Not_strongly_linearizable _, L.Not_strongly_linearizable _ ->
+                true
+            | _ -> false
+          in
+          if not ok then
+            Alcotest.failf "crash game (%s) disagrees on %s: %a vs %a" axis name L.pp_verdict v
+              L.pp_verdict cv)
+        [ ("jobs 1", 1, false); ("jobs 2", 2, false); ("reduce", 1, true) ]
+
+(* [reduce_check] re-explores every memo hit, so its verdict and node
+   count equal the unreduced crash game's; a memo key that forgot the
+   crashed set would answer a node from a twin with a different enabled
+   set and crash budget, which the re-exploration reports as a
+   disagreement. *)
+let test_crash_reduce_check () =
+  match Registry.find "faa-max" with
+  | None -> Alcotest.fail "faa-max not registered"
+  | Some (Registry.Checkable c) ->
+      let (module S) = c.spec in
+      let module L = Lincheck.Make (S) in
+      let prog = Harness.program ~make:c.make ~workload:c.workload in
+      let run ~reduce_check =
+        let v, st = L.check_strong_stats ~max_nodes:2_000_000 ~reduce_check ~crashes:1 prog in
+        (Format.asprintf "%a" L.pp_verdict v, st.Lincheck.nodes)
       in
-      if not ok then
-        Alcotest.failf "crash game disagrees on %s: %a vs %a" name L.pp_verdict v
-          A.pp_crash_verdict cv
+      let base_v, base_n = run ~reduce_check:false in
+      let v, n = run ~reduce_check:true in
+      Alcotest.(check string) "verdict" base_v v;
+      Alcotest.(check int) "nodes" base_n n
 
 (* ---------------- exhaustive wait-freedom bound ----------------------- *)
 
@@ -196,12 +228,12 @@ let test_budget_wall () =
   | _ -> Alcotest.failf "expected Out_of_budget, got %a" L_max.pp_verdict v
 
 let test_crash_game_budget () =
-  let cv = A_max.check_strong_crashes ~max_nodes:5 ~crashes:1 (max_reg_prog ()) in
-  match cv with
-  | A_max.Crash_inconclusive { nodes; reason } ->
+  let v, _ = L_max.check_strong_stats ~max_nodes:5 ~crashes:1 (max_reg_prog ()) in
+  match v with
+  | L_max.Out_of_budget { nodes; reason } ->
       Alcotest.(check bool) "nodes counted" true (nodes > 0);
       Alcotest.(check bool) "reason" true (reason = Lincheck.Budget_nodes)
-  | _ -> Alcotest.failf "expected inconclusive, got %a" A_max.pp_crash_verdict cv
+  | _ -> Alcotest.failf "expected inconclusive, got %a" L_max.pp_verdict v
 
 let mult_trace () =
   (* Any queue trace will do; take one from the HW queue's standard
@@ -240,6 +272,7 @@ let suite =
     ("crash game agrees: faa-max", `Quick, crash_game_agrees "faa-max");
     ("crash game agrees: mwmr-register", `Quick, crash_game_agrees "mwmr-register");
     ("crash game agrees: tournament-ts", `Quick, crash_game_agrees "tournament-ts");
+    ("crash game: reduce_check matches unreduced", `Quick, test_crash_reduce_check);
     ("wait-free bound exhaustive", `Quick, test_wait_free_bound);
     ("wait-free bound budget", `Quick, test_wait_free_budget);
     ("livelock found on HW queue", `Quick, test_livelock_found);

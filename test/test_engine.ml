@@ -3,7 +3,8 @@
    verdict, witness and every count identical across [jobs] and
    [checkpoint_stride] — plus the heartbeat cadence, the incremental
    node evaluation itself, the exception safety of
-   [Steal_pool.parallel_for], and the adversary's twin loops. *)
+   [Steal_pool.parallel_for], the crash game's stride equivalence and
+   fuzz campaigns' jobs equivalence. *)
 
 (* [effective_workers] caps [jobs] at the hardware parallelism, so on a
    single-core CI runner every jobs>1 case would silently collapse to
@@ -301,20 +302,22 @@ let test_extend_info_chain () =
       done;
       Alcotest.(check bool) "walked some steps" true (!steps > 0)
 
-(* ---------------- adversary twins ------------------------------------- *)
+(* ---------------- crash game and fuzz campaigns ------------------------ *)
 
-(* The crash game shares the incremental engine; its verdict must be
-   identical for every anchor stride. *)
+(* The crash game is the engine's own game with crash actions added; its
+   verdict must be identical for every anchor stride. *)
 let test_crash_game_stride () =
   match Registry.find "faa-max" with
   | None -> Alcotest.fail "faa-max not registered"
   | Some (Registry.Checkable c) ->
       let (module S) = c.spec in
-      let module A = Adversary.Make (S) in
+      let module L = Lincheck.Make (S) in
       let prog = Harness.program ~make:c.make ~workload:c.workload in
       let show stride =
-        Format.asprintf "%a" A.pp_crash_verdict
-          (A.check_strong_crashes ~checkpoint_stride:stride ~crashes:1 prog)
+        Format.asprintf "%a" L.pp_verdict
+          (fst
+             (L.check_strong_stats ~max_nodes:2_000_000 ~checkpoint_stride:stride ~crashes:1
+                prog))
       in
       let base = show 16 in
       List.iter
