@@ -420,6 +420,43 @@ let e6_quick () =
         Snap.update snap (i mod 64);
         ignore (Snap.scan snap)
       done);
+  (* Theorem 1 at the register widths the objects benchmark ramps
+     through: a write raising the register by one stream bit, plus a
+     read.  Each operation gets its own register, every process's stream
+     filled to [bits / n] before timing starts (a solo runtime whose
+     caller may act as any process), so the width does not drift while
+     timing. *)
+  let module Any = struct
+    include (val Solo_runtime.make ~self:0 ~n () : Runtime_intf.S)
+
+    let who = ref 0
+    let self () = !who
+  end in
+  let module Wide = Faa_max_register.Make (Any) in
+  List.iter
+    (fun bits ->
+      let regs =
+        Array.init 256 (fun _ ->
+            let m = Wide.create () in
+            for p = 0 to n - 1 do
+              Any.who := p;
+              Wide.write_max m (bits / n)
+            done;
+            m)
+      in
+      Any.who := 0;
+      let next = ref 0 in
+      time_burst
+        (Printf.sprintf "maxreg faa write+read @ %d bits" bits)
+        (Array.length regs - 64)
+        (fun iters ->
+          for _ = 1 to iters do
+            let m = regs.(!next) in
+            incr next;
+            Wide.write_max m ((bits / n) + 1);
+            ignore (Wide.read_max m)
+          done))
+    [ 4096; 32768 ];
   (* Bignum width-scaling smoke: the limb loops behind every wide
      fetch&add, at the same widths as the full widefaa suite.  [add v v]
      is the full-length carry chain, [sub (pow2 b) one] the full-length

@@ -106,7 +106,9 @@ module Make (S : Spec.S) = struct
         if !nodes > max_nodes then budget_hit := true
         else
           let w = Sim.run_schedule prog (List.rev sched_rev) in
-          match Sim.enabled w with
+          let enabled = Sim.enabled w in
+          Sim.dispose w;
+          match enabled with
           | [] ->
               incr executions;
               List.iter
@@ -155,11 +157,15 @@ module Make (S : Spec.S) = struct
       lf_result =
     let n = prog.Sim.procs in
     let candidates = ref 0 in
-    let try_driver d : Witness.shape option =
+    let rec try_driver d =
       incr candidates;
       Obs.incr c_lasso_candidates;
       let w = Sim.create ~n in
       prog.Sim.boot w;
+      let found = drive_lasso w d in
+      Sim.dispose w;
+      found
+    and drive_lasso w d : Witness.shape option =
       (* stem: give the complement a chance to run (it may fill or drain
          shared state the livelock depends on) *)
       let stem_rev = ref [] in
@@ -339,10 +345,11 @@ module Make (S : Spec.S) = struct
             let w, schedule = Sim.run_random_full ~seed:run_seed ~crash_after ~max_steps prog in
             steps_of.(i) <- List.length schedule;
             (match lanes.(worker) with Some l -> Prof.add_nodes l 1 | None -> ());
-            (match shards.(worker) with
-            | Some sh -> ignore (Coverage.observe_run sh ~run:i (Sim.trace w))
-            | None -> ());
             let tr = Sim.trace w in
+            Sim.dispose w;
+            (match shards.(worker) with
+            | Some sh -> ignore (Coverage.observe_run sh ~run:i tr)
+            | None -> ());
             let fp = Reduct.fp_of_trace tr in
             let clean = cleans.(worker) in
             if Hashtbl.mem clean fp then Obs.incr c_fuzz_pruned
@@ -476,6 +483,7 @@ module Make (S : Spec.S) = struct
           viol_sched.(!i) <- Some schedule;
           note !i
         end;
+        Sim.dispose w;
         done_flags.(!i) <- true;
         incr i
       done;
@@ -683,6 +691,7 @@ let agreement_crash_sweep ~make ~ordering ~inputs ~k ?max_crashes
           if !violations = [] then
             Hashtbl.add cache (Reduct.fp_of_trace (Sim.trace w)) !distinct
     end;
+    Sim.dispose w;
     (plan <> [], not terminated, !distinct, List.rev !violations)
   in
   let results = Array.make nruns (false, false, 0, []) in

@@ -277,14 +277,32 @@ let shift_right (x : t) k =
     end
   end
 
-let num_bits (x : t) =
-  let la = Array.length x in
-  if la = 0 then 0
-  else begin
-    let top = x.(la - 1) in
-    let rec width k = if top lsr k = 0 then k else width (k + 1) in
-    ((la - 1) * limb_bits) + width 0
-  end
+(* Index of the highest set bit of a nonzero limb (binary search). *)
+let msb v =
+  let v = ref v and r = ref 0 and k = ref 16 in
+  while !k > 0 do
+    if !v lsr !k <> 0 then begin
+      v := !v lsr !k;
+      r := !r + !k
+    end;
+    k := !k lsr 1
+  done;
+  !r
+
+(* Index of the lowest set bit of a nonzero limb: isolate the bit, then a
+   de Bruijn multiply-and-lookup (limbs fit in 32 bits). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz v = debruijn.((((v land -v) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
+(* Width of the value held in limbs [0 .. len - 1] of [x], top limb
+   nonzero.  The strided reads below take [(x, len)] so that they serve
+   both [t] and the spare-capacity buffer of {!Acc}. *)
+let width_of (x : int array) len = if len = 0 then 0 else ((len - 1) * limb_bits) + msb x.(len - 1) + 1
+
+let num_bits (x : t) = width_of x (Array.length x)
 
 let popcount (x : t) =
   let count_limb v =
@@ -314,42 +332,111 @@ let to_hex x =
     Buffer.contents buf
   end
 
-(* The strided operations accumulate into a mutable limb buffer rather
-   than going through [set_bit] (which copies), keeping them linear in
-   the number of bits touched. *)
+let ones k =
+  if k < 0 then invalid_arg "Bignum.ones: negative";
+  if k = 0 then zero
+  else begin
+    let n = ((k - 1) / limb_bits) + 1 in
+    let r = Array.make n limb_mask in
+    r.(n - 1) <- (1 lsl (k - ((n - 1) * limb_bits))) - 1;
+    r
+  end
 
-let set_bit_mut (a : int array) k =
-  let limb = k / limb_bits and off = k mod limb_bits in
-  a.(limb) <- a.(limb) lor (1 lsl off)
+(* Strided access works a limb at a time.  Stream [(offset, stride)]
+   owns absolute bits offset, offset + stride, ...; inside a limb those
+   bits are [comb stride] shifted left by the position [f] of the
+   stream's first bit there, so each limb costs one mask plus a walk
+   over the set bits it holds, never a test per stream position.  Above
+   the limb holding [offset], [f] is the stream's residue in the limb,
+   and moving one limb up or down shifts it by [limb_bits mod stride]:
+   no division per limb. *)
 
-let extract_stride (x : t) ~offset ~stride =
-  if offset < 0 then invalid_arg "Bignum.extract_stride: negative offset";
-  if stride < 1 then invalid_arg "Bignum.extract_stride: stride < 1";
-  let w = num_bits x in
+(* Bits 0, stride, 2 * stride, ... of a limb. *)
+let comb stride =
+  let m = ref 0 and k = ref 0 in
+  while !k < limb_bits do
+    m := !m lor (1 lsl !k);
+    k := !k + stride
+  done;
+  !m
+
+(* Stream bits of limb value [v] when the stream's first bit in the limb
+   is at [f] (none when [f >= limb_bits]). *)
+let masked ~comb v f = if f >= limb_bits then 0 else v land (comb lsl f)
+
+let check_stride fn ~offset ~stride =
+  if offset < 0 then invalid_arg ("Bignum." ^ fn ^ ": negative offset");
+  if stride < 1 then invalid_arg ("Bignum." ^ fn ^ ": stride < 1")
+
+let extract_limbs (x : int array) len ~offset ~stride =
+  check_stride "extract_stride" ~offset ~stride;
+  let w = width_of x len in
   if w <= offset then zero
   else begin
     let count = 1 + ((w - 1 - offset) / stride) in
-    let buf = Array.make ((count / limb_bits) + 1) 0 in
-    let pos = ref offset in
-    for j = 0 to count - 1 do
-      if bit x !pos then set_bit_mut buf j;
-      pos := !pos + stride
+    let out = Array.make (((count - 1) / limb_bits) + 1) 0 in
+    let comb = comb stride and step = limb_bits mod stride in
+    let l0 = offset / limb_bits in
+    let d0 = offset - (l0 * limb_bits) in
+    let r = ref (d0 mod stride) in
+    for l = l0 to len - 1 do
+      let m = ref (masked ~comb x.(l) (if l = l0 then d0 else !r)) in
+      let base = (l * limb_bits) - offset in
+      while !m <> 0 do
+        let j = (base + ctz !m) / stride in
+        m := !m land (!m - 1);
+        let q = j / limb_bits in
+        out.(q) <- out.(q) lor (1 lsl (j - (q * limb_bits)))
+      done;
+      let r' = !r - step in
+      r := if r' < 0 then r' + stride else r'
     done;
-    normalize buf
+    normalize out
   end
 
+(* Highest stream bit, found from the top limb down: allocation-free,
+   and for the unary streams of Theorem 1 it stops within a limb or two
+   of the top. *)
+let stride_width (x : int array) len ~offset ~stride =
+  check_stride "stride_num_bits" ~offset ~stride;
+  let l0 = offset / limb_bits in
+  let comb = comb stride and step = limb_bits mod stride in
+  let found l m = (((l * limb_bits) + msb m - offset) / stride) + 1 in
+  let rec go l f =
+    if l = l0 then
+      let m = masked ~comb x.(l) (offset - (l0 * limb_bits)) in
+      if m = 0 then 0 else found l m
+    else
+      let m = masked ~comb x.(l) f in
+      if m <> 0 then found l m
+      else
+        let f = f + step in
+        go (l - 1) (if f >= stride then f - stride else f)
+  in
+  if len <= l0 then 0
+  else
+    let d = offset - ((len - 1) * limb_bits) in
+    go (len - 1) (((d mod stride) + stride) mod stride)
+
+let extract_stride (x : t) ~offset ~stride = extract_limbs x (Array.length x) ~offset ~stride
+
 let deposit_stride (v : t) ~offset ~stride =
-  if offset < 0 then invalid_arg "Bignum.deposit_stride: negative offset";
-  if stride < 1 then invalid_arg "Bignum.deposit_stride: stride < 1";
+  check_stride "deposit_stride" ~offset ~stride;
   let w = num_bits v in
   if w = 0 then zero
   else begin
-    let top = offset + ((w - 1) * stride) in
-    let buf = Array.make ((top / limb_bits) + 1) 0 in
-    for j = 0 to w - 1 do
-      if bit v j then set_bit_mut buf (offset + (j * stride))
+    (* the top bit of [v] lands in the top limb: already normalized *)
+    let out = Array.make (((offset + ((w - 1) * stride)) / limb_bits) + 1) 0 in
+    for l = 0 to Array.length v - 1 do
+      let m = ref v.(l) in
+      while !m <> 0 do
+        let pos = offset + (((l * limb_bits) + ctz !m) * stride) in
+        m := !m land (!m - 1);
+        let q = pos / limb_bits in
+        out.(q) <- out.(q) lor (1 lsl (pos - (q * limb_bits)))
+      done
     done;
-    normalize buf
+    out
   end
 
 module Signed = struct
@@ -357,23 +444,121 @@ module Signed = struct
 
   let nat_add = add
   let nat_sub = sub
+  let nat_deposit = deposit_stride
 
-  type t = { neg : bool; mag : nat }
+  type t = { neg : bool; mag : nat; shift : int }
 
-  let zero = { neg = false; mag = zero }
+  let zero = { neg = false; mag = zero; shift = 0 }
 
-  let of_nat ?(neg = false) mag = { neg; mag }
+  let of_nat ?(neg = false) mag = { neg; mag; shift = 0 }
 
-  let of_int k = if k < 0 then { neg = true; mag = of_int (-k) } else { neg = false; mag = of_int k }
+  let of_int k =
+    if k < 0 then { neg = true; mag = of_int (-k); shift = 0 }
+    else { neg = false; mag = of_int k; shift = 0 }
+
+  let deposit_stride ?(neg = false) v ~offset ~stride =
+    let shift = if offset < 0 then 0 else offset / limb_bits in
+    { neg; mag = nat_deposit v ~offset:(offset - (shift * limb_bits)) ~stride; shift }
+
+  (* [mag] moved up by [k] whole limbs. *)
+  let lift (mag : nat) k = if k = 0 || is_zero mag then mag else Array.append (Array.make k 0) mag
 
   let add a b =
-    if a.neg = b.neg then { a with mag = nat_add a.mag b.mag }
-    else if compare a.mag b.mag >= 0 then { a with mag = nat_sub a.mag b.mag }
-    else { b with mag = nat_sub b.mag a.mag }
+    let shift = min a.shift b.shift in
+    let am = lift a.mag (a.shift - shift) and bm = lift b.mag (b.shift - shift) in
+    if a.neg = b.neg then { neg = a.neg; mag = nat_add am bm; shift }
+    else if compare am bm >= 0 then { neg = a.neg; mag = nat_sub am bm; shift }
+    else { neg = b.neg; mag = nat_sub bm am; shift }
 
-  let apply x d = if d.neg then nat_sub x d.mag else nat_add x d.mag
+  let apply x d =
+    let m = lift d.mag d.shift in
+    if d.neg then nat_sub x m else nat_add x m
 
   let pp fmt d =
     if d.neg && not (is_zero d.mag) then Format.pp_print_char fmt '-';
-    pp fmt d.mag
+    pp fmt (lift d.mag d.shift)
+end
+
+(* The one mutable type.  [limbs.(0 .. len - 1)] holds the value with a
+   nonzero top limb, and every limb from [len] up is zero, so a carry
+   can always run on into the spare capacity.  A delta touches only the
+   limbs from its shift up to where its carry or borrow stops. *)
+module Acc = struct
+  type nat = Signed.nat
+  type t = { mutable limbs : int array; mutable len : int }
+
+  let of_nat (x : nat) = { limbs = Array.copy x; len = Array.length x }
+
+  let to_nat a = Array.sub a.limbs 0 a.len
+
+  (* Capacity for [n] limbs.  Growing to twice the need keeps growth
+     amortized O(1) and leaves room for the next deltas. *)
+  let reserve a n =
+    if n > Array.length a.limbs then begin
+      let limbs = Array.make (2 * n) 0 in
+      Array.blit a.limbs 0 limbs 0 a.len;
+      a.limbs <- limbs
+    end
+
+  let add_at a (m : nat) s =
+    let lm = Array.length m in
+    let top = max a.len (s + lm) in
+    reserve a (top + 1);
+    let x = a.limbs in
+    let carry = ref 0 in
+    for j = 0 to lm - 1 do
+      let v = x.(s + j) + m.(j) + !carry in
+      x.(s + j) <- v land limb_mask;
+      carry := v lsr limb_bits
+    done;
+    let i = ref (s + lm) in
+    while !carry <> 0 do
+      let v = x.(!i) + 1 in
+      x.(!i) <- v land limb_mask;
+      carry := v lsr limb_bits;
+      incr i
+    done;
+    a.len <- max top !i
+
+  (* [m * 2^(31 s) <= a], decided before any limb is touched so that an
+     underflow leaves [a] as it was. *)
+  let covers a (m : nat) s =
+    let lm = Array.length m in
+    if s + lm <> a.len then s + lm < a.len
+    else
+      let rec go j =
+        j < 0
+        ||
+        let d = a.limbs.(s + j) - m.(j) in
+        if d <> 0 then d > 0 else go (j - 1)
+      in
+      go (lm - 1)
+
+  let sub_at a (m : nat) s =
+    if not (covers a m s) then raise Underflow;
+    let x = a.limbs in
+    let borrow = ref 0 in
+    for j = 0 to Array.length m - 1 do
+      let d = x.(s + j) - m.(j) - !borrow in
+      x.(s + j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done;
+    let i = ref (s + Array.length m) in
+    while !borrow <> 0 do
+      let d = x.(!i) - 1 in
+      x.(!i) <- d land limb_mask;
+      if d >= 0 then borrow := 0;
+      incr i
+    done;
+    while a.len > 0 && x.(a.len - 1) = 0 do
+      a.len <- a.len - 1
+    done
+
+  let apply a (d : Signed.t) =
+    if not (is_zero d.mag) then
+      if d.neg then sub_at a d.mag d.shift else add_at a d.mag d.shift
+
+  let num_bits a = width_of a.limbs a.len
+  let stride_num_bits a ~offset ~stride = stride_width a.limbs a.len ~offset ~stride
+  let extract_stride a ~offset ~stride = extract_limbs a.limbs a.len ~offset ~stride
 end

@@ -9,10 +9,13 @@
     registers are backed by this type instead; atomicity is supplied by the
     simulation runtime.
 
-    Values are immutable and always non-negative.  All functions are pure.
-    The representation is normalized: equal numbers are structurally equal,
-    so polymorphic equality would be safe, but use {!equal} and {!compare}
-    anyway. *)
+    Values of type {!t} are immutable and always non-negative, and every
+    function on them is pure.  The one exception is {!Acc}, a mutable
+    accumulator that backs the wide registers so that a fetch&add costs
+    the size of its delta, not the width of the register.  The
+    representation of {!t} is normalized: equal numbers are structurally
+    equal, so polymorphic equality would be safe, but use {!equal} and
+    {!compare} anyway. *)
 
 type t
 
@@ -76,6 +79,10 @@ val divmod_small : t -> int -> t * int
 val pow2 : int -> t
 (** [pow2 k] is [2^k].  @raise Invalid_argument if [k < 0]. *)
 
+val ones : int -> t
+(** [ones k] is [2^k - 1]: [k] one-bits, the unary encoding of [k].
+    @raise Invalid_argument if [k < 0]. *)
+
 val bit : t -> int -> bool
 val set_bit : t -> int -> t
 val clear_bit : t -> int -> t
@@ -100,7 +107,8 @@ val popcount : t -> int
     [n]-process system as [n] independent bit streams: stream [i] occupies
     absolute bit positions [i, i + n, i + 2n, ...].  [extract_stride]
     gathers one stream into a contiguous number; [deposit_stride] scatters
-    a contiguous number back into stream positions. *)
+    a contiguous number back into stream positions.  Both work a limb at
+    a time and visit only the set bits of each limb's stream mask. *)
 
 val extract_stride : t -> offset:int -> stride:int -> t
 (** [extract_stride x ~offset ~stride] is the number whose bit [j] is bit
@@ -122,13 +130,22 @@ val deposit_stride : t -> offset:int -> stride:int -> t
 module Signed : sig
   type nat := t
 
-  type t = { neg : bool; mag : nat }
-  (** [{ neg; mag }] denotes [mag] if [not neg], and [-mag] otherwise.
-      [{ neg = true; mag = zero }] is a valid representation of zero. *)
+  type t = { neg : bool; mag : nat; shift : int }
+  (** [{ neg; mag; shift }] denotes [mag * 2^(31 * shift)] if [not neg],
+      and its negation otherwise: [shift] counts whole 31-bit limbs, so a
+      delta confined to high bits is stored without its low zero limbs.
+      [{ neg = true; mag = zero; _ }] is a valid representation of zero. *)
 
   val zero : t
   val of_int : int -> t
   val of_nat : ?neg:bool -> nat -> t
+
+  val deposit_stride : ?neg:bool -> nat -> offset:int -> stride:int -> t
+  (** [deposit_stride ~neg v ~offset ~stride] denotes
+      [±(Bignum.deposit_stride v ~offset ~stride)] with the whole limbs
+      below [offset] carried in [shift], so its size follows the bits of
+      [v], not [offset].
+      @raise Invalid_argument if [offset < 0] or [stride < 1]. *)
 
   val add : t -> t -> t
 
@@ -137,4 +154,40 @@ module Signed : sig
       negative. *)
 
   val pp : Format.formatter -> t -> unit
+end
+
+(** {1 Accumulator}
+
+    A mutable natural number with spare capacity, for registers that
+    receive many small deltas: {!Acc.apply} costs the size of the delta
+    (plus carry or borrow propagation), not the width of the value, and
+    allocates only when the buffer must grow.  It is the single mutable
+    value in this module; nothing else aliases its buffer. *)
+
+module Acc : sig
+  type nat := t
+  type t
+
+  val of_nat : nat -> t
+  (** A fresh accumulator holding a copy of the value. *)
+
+  val to_nat : t -> nat
+  (** An immutable copy of the current value; later {!apply} calls do not
+      change it. *)
+
+  val apply : t -> Signed.t -> unit
+  (** [apply a d] adds [d] to [a] in place.
+      @raise Underflow if the result would be negative; [a] is then left
+      unchanged. *)
+
+  val num_bits : t -> int
+
+  val extract_stride : t -> offset:int -> stride:int -> nat
+  (** As {!Bignum.extract_stride}, reading the current value in place. *)
+
+  val stride_num_bits : t -> offset:int -> stride:int -> int
+  (** [stride_num_bits a ~offset ~stride] is
+      [num_bits (extract_stride a ~offset ~stride)], computed from the top
+      limb down without allocating.
+      @raise Invalid_argument if [offset < 0] or [stride < 1]. *)
 end

@@ -121,7 +121,7 @@ let program ~(make : (module Runtime_intf.S) -> ('op, 'resp) K_ordering.instance
 let run_random ~make ~ordering ~inputs ~seed ?(crash_after = []) () : outcome =
   let decisions = Array.make (Array.length inputs) None in
   let prog = program ~make ~ordering ~inputs ~decisions in
-  ignore (Sim.run_random ~seed ~crash_after prog);
+  Sim.dispose (Sim.run_random ~seed ~crash_after prog);
   { decisions; inputs }
 
 (* Run many random schedules (with optional crash injection) and report

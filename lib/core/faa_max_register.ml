@@ -30,33 +30,34 @@ end = struct
   let create ?name () =
     { reg = P.Faa_wide.make ?name Bignum.zero; prev_local_max = Array.make (R.n_procs ()) 0 }
 
-  (* Unary encoding of the step prev -> k in process i's stream: bits
-     prev..k-1 set, i.e. (2^k - 2^prev), deposited at stride n. *)
+  (* Unary encoding of the step prev -> k in process i's stream: stream
+     bits prev..k-1 set, i.e. k - prev ones deposited at stride n from
+     absolute bit i + prev*n.  The delta carries the limbs below that bit
+     as a shift, so it is as long as the step, not the register. *)
   let unary_delta ~n ~i ~prev ~k =
-    let stream = Bignum.sub (Bignum.pow2 k) (Bignum.pow2 prev) in
-    Bignum.Signed.of_nat (Bignum.deposit_stride stream ~offset:i ~stride:n)
+    Bignum.Signed.deposit_stride (Bignum.ones (k - prev)) ~offset:(i + (prev * n)) ~stride:n
 
   let write_max t k =
     if k < 0 then invalid_arg "Faa_max_register.write_max: negative";
     let i = R.self () and n = R.n_procs () in
     let prev = t.prev_local_max.(i) in
-    if k <= prev then ignore (P.Faa_wide.fetch_and_add t.reg Bignum.Signed.zero)
+    if k <= prev then P.Faa_wide.add t.reg Bignum.Signed.zero
     else begin
-      ignore (P.Faa_wide.fetch_and_add t.reg (unary_delta ~n ~i ~prev ~k));
+      P.Faa_wide.add t.reg (unary_delta ~n ~i ~prev ~k);
       t.prev_local_max.(i) <- k
     end
 
-  let width_bits t = Bignum.num_bits (P.Faa_wide.read t.reg)
+  let width_bits t = P.Faa_wide.read_with t.reg Bignum.Acc.num_bits
 
   let read_max t =
     let n = R.n_procs () in
-    let packed = P.Faa_wide.read t.reg in
-    let best = ref 0 in
-    for i = 0 to n - 1 do
-      (* Stream i holds a unary value: contiguous ones from bit 0, so the
-         value is the position of the highest set bit plus one. *)
-      let v = Bignum.num_bits (Bignum.extract_stride packed ~offset:i ~stride:n) in
-      if v > !best then best := v
-    done;
-    !best
+    P.Faa_wide.read_with t.reg (fun packed ->
+        let best = ref 0 in
+        for i = 0 to n - 1 do
+          (* Stream i holds a unary value: contiguous ones from bit 0, so
+             the value is the position of the highest set bit plus one. *)
+          let v = Bignum.Acc.stride_num_bits packed ~offset:i ~stride:n in
+          if v > !best then best := v
+        done;
+        !best)
 end

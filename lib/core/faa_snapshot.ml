@@ -27,7 +27,7 @@ end = struct
     if v < 0 then invalid_arg "Faa_snapshot.update: negative";
     let i = R.self () and n = R.n_procs () in
     let prev = t.prev_val.(i) in
-    if v = prev then ignore (P.Faa_wide.fetch_and_add t.reg Bignum.Signed.zero)
+    if v = prev then P.Faa_wide.add t.reg Bignum.Signed.zero
     else begin
       let vb = Bignum.of_int v and pb = Bignum.of_int prev in
       let changed = Bignum.logxor vb pb in
@@ -35,18 +35,18 @@ end = struct
       let neg = Bignum.logand changed pb in  (* bits 1 -> 0 *)
       let delta =
         Bignum.Signed.add
-          (Bignum.Signed.of_nat (Bignum.deposit_stride pos ~offset:i ~stride:n))
-          (Bignum.Signed.of_nat ~neg:true (Bignum.deposit_stride neg ~offset:i ~stride:n))
+          (Bignum.Signed.deposit_stride pos ~offset:i ~stride:n)
+          (Bignum.Signed.deposit_stride ~neg:true neg ~offset:i ~stride:n)
       in
-      ignore (P.Faa_wide.fetch_and_add t.reg delta);
+      P.Faa_wide.add t.reg delta;
       t.prev_val.(i) <- v
     end
 
-  let width_bits t = Bignum.num_bits (P.Faa_wide.read t.reg)
+  let width_bits t = P.Faa_wide.read_with t.reg Bignum.Acc.num_bits
 
   let scan t =
     let n = R.n_procs () in
-    let packed = P.Faa_wide.read t.reg in
-    Array.init n (fun i ->
-        Bignum.to_int_exn (Bignum.extract_stride packed ~offset:i ~stride:n))
+    P.Faa_wide.read_with t.reg (fun packed ->
+        Array.init n (fun i ->
+            Bignum.to_int_exn (Bignum.Acc.extract_stride packed ~offset:i ~stride:n)))
 end

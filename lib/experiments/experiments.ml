@@ -466,7 +466,7 @@ let e5 () =
               done);
         }
       in
-      ignore (Sim.run_to_completion prog);
+      Sim.dispose (Sim.run_to_completion prog);
       Format.printf "| %-12d | %-10d | %-18d | %-18d@." n v !max_bits !snap_bits)
     [ (2, 8); (2, 64); (4, 8); (4, 64); (8, 64); (16, 64); (4, 1024) ];
   Format.printf

@@ -46,6 +46,7 @@ let find_non_linearizable ~check ~runs ?(crash_prob = 0.0) prog =
       in
       let w = Sim.run_random ~seed ~crash_after prog in
       let tr = Sim.trace w in
+      Sim.dispose w;
       let fp = Reduct.fp_of_trace tr in
       if Hashtbl.mem clean fp then go (seed + 1)
       else if check tr then begin

@@ -652,6 +652,7 @@ module Make (S : Spec.S) = struct
       int list -> int -> int -> int list -> string -> node_info option -> linearization -> bool;
         (* action path, depth, preemption-switch count, crashed processes
            (sorted), packed key, parent, lin *)
+    en_dispose : unit -> unit;  (* frees the spine world once solving is over *)
   }
 
   (* Result of one parallel column (a top-level subtree solved with the
@@ -810,6 +811,7 @@ module Make (S : Spec.S) = struct
             ev_path := path;
             w
         | _ ->
+            Option.iter Sim.dispose !ev_world;
             let w = Sim.run_schedule prog [] in
             List.iter (apply_action w) (List.rev path);
             ev_world := Some w;
@@ -1025,6 +1027,10 @@ module Make (S : Spec.S) = struct
         en_tripped = tripped;
         en_pruned = pruned;
         en_solve = solve;
+        en_dispose =
+          (fun () ->
+            Option.iter Sim.dispose !ev_world;
+            ev_world := None);
       }
     in
     let mk_stats ~nodes ~hits ~frontier ~cand ~killed ~dead ~vfail =
@@ -1081,6 +1087,7 @@ module Make (S : Spec.S) = struct
             (match lane with Some l -> Prof.kill l Prof.Kill_budget | None -> ());
             Out_of_budget { nodes = !(eng.en_nodes); reason = !(eng.en_tripped) }
       in
+      eng.en_dispose ();
       (match lane with Some l -> Prof.end_span l | None -> ());
       let st =
         mk_stats ~nodes:!(eng.en_nodes) ~hits:!(eng.en_hits) ~frontier:!(eng.en_frontier)
@@ -1133,6 +1140,7 @@ module Make (S : Spec.S) = struct
         (match cov_for 0 with
         | Some sh -> Coverage.observe_node sh ~depth:0 ~branching:(List.length columns) (Sim.trace w0)
         | None -> ());
+        Sim.dispose w0;
         if columns = [] then begin
           let st = mk_stats ~nodes:1 ~hits:0 ~frontier:0 ~cand:1 ~killed:0 ~dead:0 ~vfail:0 in
           trace_final st;
@@ -1264,6 +1272,7 @@ module Make (S : Spec.S) = struct
                     Col_tripped !(eng.en_tripped)
                 | exception Abandoned -> Col_abandoned
               in
+              eng.en_dispose ();
               (match lane with
               | Some l ->
                   Prof.end_span l;

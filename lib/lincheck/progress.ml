@@ -57,6 +57,7 @@ let measure ?(seed = 0) ?(runs = 100) ?(crash_prob = 0.0) (prog : _ Sim.program)
     in
     let w = Sim.run_random ~seed:run_seed ~crash_after prog in
     let t = Sim.trace w in
+    Sim.dispose w;
     List.iter
       (fun c ->
         incr completed;

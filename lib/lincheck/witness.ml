@@ -322,7 +322,9 @@ module Make (S : Spec.S) = struct
   let node_records prog sched =
     match Sim.run_schedule_result prog sched with
     | Error e -> Error e
-    | Ok w -> Ok (History.of_trace (Sim.trace w))
+    | Ok w ->
+        Sim.dispose w;
+        Ok (History.of_trace (Sim.trace w))
 
   let node_records_exn prog sched =
     match node_records prog sched with
@@ -460,7 +462,9 @@ module Make (S : Spec.S) = struct
         | [ sched ] -> (
             match Sim.run_schedule_result prog sched with
             | Error e -> Error e
-            | Ok w -> Ok (L.check_trace (Sim.trace w) = None))
+            | Ok w ->
+                Sim.dispose w;
+                Ok (L.check_trace (Sim.trace w) = None))
         | _ -> Error "a not_linearizable witness must have exactly one future")
     | Not_strongly_linearizable -> (
         match build_tree prog shape with
@@ -569,6 +573,7 @@ module Make (S : Spec.S) = struct
           if !nodes > max_nodes then raise Lincheck.Budget_exhausted;
           let w = Sim.run_schedule prog (List.rev path) in
           let d = (History.of_trace (Sim.trace w), Sim.enabled w) in
+          Sim.dispose w;
           Hashtbl.add cache path d;
           d
     in

@@ -51,15 +51,38 @@ module Make (R : Runtime_intf.S) = struct
   end
 
   module Faa_wide = struct
-    type t = Bignum.t R.obj
+    (* The register is a mutable accumulator, so a fetch&add costs the
+       size of its delta rather than a full-width copy.  An access that
+       changes the value returns a fresh cell with a bumped [epoch]; one
+       that does not returns the cell it was given.  The simulator's
+       no-op flag therefore sees exactly what it saw with immutable
+       values: [epoch] comes first, so its structural comparison of two
+       cells stops there and never walks the shared buffer. *)
+    type cell = { epoch : int; acc : Bignum.Acc.t }
+    type t = cell R.obj
 
-    let make ?name init : t = R.obj ?name init
+    let make ?name init : t = R.obj ?name { epoch = 0; acc = Bignum.Acc.of_nat init }
 
-    let fetch_and_add (r : t) (delta : Bignum.Signed.t) =
-      R.access ~info:"fetch&add" r (fun s -> (Bignum.Signed.apply s delta, s))
+    let bump c (delta : Bignum.Signed.t) =
+      if Bignum.is_zero delta.mag then c
+      else begin
+        Bignum.Acc.apply c.acc delta;
+        { c with epoch = c.epoch + 1 }
+      end
+
+    let fetch_and_add (r : t) delta =
+      R.access ~info:"fetch&add" r (fun c ->
+          let prev = Bignum.Acc.to_nat c.acc in
+          (bump c delta, prev))
+
+    let add (r : t) delta = R.access ~info:"fetch&add" r (fun c -> (bump c delta, ()))
+
+    (* fetch&add(R, 0) with the caller's decoding run inside the step:
+       the live buffer is read in place and never leaves the access. *)
+    let read_with (r : t) decode = R.access ~info:"fetch&add" r (fun c -> (c, decode c.acc))
 
     (* The §3 constructions read with fetch&add(R, 0); this is that. *)
-    let read (r : t) = fetch_and_add r Bignum.Signed.zero
+    let read (r : t) = read_with r Bignum.Acc.to_nat
   end
 
   module Faa_int = struct

@@ -40,15 +40,31 @@ module Make (R : Runtime_intf.S) : sig
 
   module Faa_wide : sig
     type t
+    (** A wide register backed by a {!Bignum.Acc.t}: a fetch&add costs the
+        size of its delta, not the width of the register.  Each entry
+        point below is exactly one fetch&add step. *)
 
     val make : ?name:string -> Bignum.t -> t
 
     val fetch_and_add : t -> Bignum.Signed.t -> Bignum.t
     (** Atomically adds a (possibly negative) delta; returns the previous
-        value.  @raise Bignum.Underflow if the result would be negative. *)
+        value as an immutable copy.
+        @raise Bignum.Underflow if the result would be negative (the
+        register is then unchanged). *)
+
+    val add : t -> Bignum.Signed.t -> unit
+    (** {!fetch_and_add} with the previous value discarded, so no copy of
+        the register is made: what the §3 writes and updates use. *)
 
     val read : t -> Bignum.t
-    (** The §3 constructions read with fetch&add(R, 0); this is that. *)
+    (** The §3 constructions read with fetch&add(R, 0); this is that.
+        Returns an immutable copy. *)
+
+    val read_with : t -> (Bignum.Acc.t -> 'a) -> 'a
+    (** [read_with r decode] is fetch&add(R, 0) that applies [decode] to
+        the register's value inside the step and returns its result, so a
+        read costs its decoding and no copy.  [decode] must not keep or
+        mutate its argument: it is the live register. *)
   end
 
   module Faa_int : sig

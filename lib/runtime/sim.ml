@@ -73,7 +73,9 @@ type fiber =
   | Suspended of (unit, unit) Effect.Deep.continuation
   | Running  (* transient marker while a resume is in progress *)
   | Finished
-  | Crashed
+  | Crashed of (unit, unit) Effect.Deep.continuation option
+      (* a crashed fiber keeps its continuation so [dispose] can free
+         its stack *)
 
 type ('op, 'resp) t = {
   procs : int;
@@ -162,7 +164,7 @@ let enabled w =
   for p = w.procs - 1 downto 0 do
     match w.fibers.(p) with
     | Not_started _ | Suspended _ -> acc := p :: !acc
-    | Absent | Running | Finished | Crashed -> ()
+    | Absent | Running | Finished | Crashed _ -> ()
   done;
   !acc
 
@@ -173,10 +175,10 @@ let crash w p =
   if p < 0 || p >= w.procs then invalid_arg "Sim.crash: process out of range";
   match w.fibers.(p) with
   | Finished -> ()  (* crashing a finished process has no effect *)
-  | Crashed -> ()  (* idempotent: a second crash is a no-op, not a new fault *)
-  | _ ->
+  | Crashed _ -> ()  (* idempotent: a second crash is a no-op, not a new fault *)
+  | f ->
       if !Metrics.enabled then Metrics.bump "crash";
-      w.fibers.(p) <- Crashed
+      w.fibers.(p) <- Crashed (match f with Suspended k -> Some k | _ -> None)
 
 let handler w p =
   {
@@ -197,7 +199,7 @@ let step w p =
   | Absent -> raise (Invalid_schedule (Printf.sprintf "p%d has no body" p))
   | Running -> raise (Invalid_schedule (Printf.sprintf "p%d re-entered" p))
   | Finished -> raise (Invalid_schedule (Printf.sprintf "p%d already finished" p))
-  | Crashed -> raise (Invalid_schedule (Printf.sprintf "p%d crashed" p))
+  | Crashed _ -> raise (Invalid_schedule (Printf.sprintf "p%d crashed" p))
   | Not_started body ->
       if !Metrics.enabled then Metrics.bump "step.total";
       w.fibers.(p) <- Running;
@@ -212,6 +214,27 @@ let step w p =
       w.steps.(p) <- w.steps.(p) + 1;
       Effect.Deep.continue k ();
       w.current <- -1
+
+(* OCaml frees a fiber's stack only when its continuation is resumed or
+   discontinued, never when the continuation is merely dropped, so a
+   world abandoned with suspended processes would keep one stack per
+   process alive for the life of the program.  [dispose] discontinues
+   each of them with an exception private to this module, which unwinds
+   the fiber (objects do not catch every exception) back to its handler;
+   the world is then finished with and every process is crashed. *)
+exception Disposed
+
+let dispose w =
+  for p = 0 to w.procs - 1 do
+    (match w.fibers.(p) with
+    | Suspended k | Crashed (Some k) ->
+        w.fibers.(p) <- Running;
+        w.current <- p;
+        (try Effect.Deep.discontinue k Disposed with Disposed -> ());
+        w.current <- -1
+    | Absent | Not_started _ | Running | Finished | Crashed None -> ());
+    w.fibers.(p) <- Crashed None
+  done
 
 let trace w = List.rev w.rev_trace
 

@@ -79,6 +79,15 @@ val crash : _ t -> int -> unit
     a process that is already crashed or finished is a no-op (idempotent —
     repeated injection of the same fault is not a new fault). *)
 
+val dispose : _ t -> unit
+(** [dispose w] frees the fiber stacks of [w]'s suspended and crashed
+    processes by unwinding them with an exception private to this module;
+    afterwards every process of [w] counts as crashed.  OCaml releases a
+    fiber's stack only when its continuation is resumed or discontinued,
+    so a world dropped without [dispose] keeps one stack per unfinished
+    process alive.  Call it on a world the caller is done with, never on
+    one handed to someone else.  The trace is kept. *)
+
 val finished : _ t -> int -> bool
 (** [finished w p] is true when [p]'s body ran to completion. *)
 

@@ -195,6 +195,123 @@ let properties =
         Bignum.equal (b (x + d)) (S.apply (b x) (S.of_int d)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Strided access and the accumulator against bit-serial references    *)
+(* ------------------------------------------------------------------ *)
+
+(* One [Bignum.bit] test per stream position: slow, obviously right. *)
+let ref_extract x ~offset ~stride =
+  let r = ref Bignum.zero and j = ref 0 and pos = ref offset in
+  while !pos < Bignum.num_bits x do
+    if Bignum.bit x !pos then r := Bignum.set_bit !r !j;
+    incr j;
+    pos := !pos + stride
+  done;
+  !r
+
+let ref_deposit v ~offset ~stride =
+  let r = ref Bignum.zero in
+  for j = 0 to Bignum.num_bits v - 1 do
+    if Bignum.bit v j then r := Bignum.set_bit !r (offset + (j * stride))
+  done;
+  !r
+
+let of_limbs parts =
+  List.fold_left (fun acc p -> Bignum.logor (Bignum.shift_left acc 30) (b p)) Bignum.zero parts
+
+(* Random limbs, or a run of ones: the case where a carry or borrow runs
+   the whole length of the value. *)
+let dense_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map of_limbs (list_size (int_bound 12) (int_bound ((1 lsl 30) - 1)));
+        map Bignum.ones (int_bound 300);
+      ])
+
+(* Several interleaved unary streams (runs of ones from stream bit 0), as
+   the Theorem 1 register holds; [offset] itself is always one of them. *)
+let unary_gen ~offset ~stride =
+  QCheck.Gen.(
+    map
+      (fun streams ->
+        List.fold_left
+          (fun acc (o, k) -> Bignum.logor acc (ref_deposit (Bignum.ones k) ~offset:o ~stride))
+          Bignum.zero streams)
+      (pair (map (fun k -> (offset, k)) (int_bound 150))
+         (list_size (int_bound 3) (pair (int_bound 80) (int_bound 150)))
+      |> map (fun (s0, rest) -> s0 :: rest)))
+
+let stride_case_gen =
+  QCheck.Gen.(
+    let* stride = oneof [ return 1; int_range 2 9; int_range 29 33; int_range 60 70 ] in
+    let* offset = oneof [ int_bound 5; int_range 28 34; int_range 60 100 ] in
+    let* x = oneof [ dense_gen; unary_gen ~offset ~stride ] in
+    return (x, offset, stride))
+
+let stride_case =
+  QCheck.make
+    ~print:(fun (x, offset, stride) ->
+      Printf.sprintf "x=0x%s offset=%d stride=%d" (Bignum.to_hex x) offset stride)
+    stride_case_gen
+
+(* Accumulator deltas: (negative?, magnitude, limb shift). *)
+let delta_gen = QCheck.Gen.(triple bool dense_gen (int_bound 6))
+
+let acc_case =
+  QCheck.make
+    ~print:(fun (x, ds) ->
+      Printf.sprintf "x=0x%s deltas=[%s]" (Bignum.to_hex x)
+        (String.concat "; "
+           (List.map
+              (fun (neg, m, s) -> Printf.sprintf "%s0x%s<<%d limbs" (if neg then "-" else "+") (Bignum.to_hex m) s)
+              ds)))
+    QCheck.Gen.(pair dense_gen (list_size (int_bound 20) delta_gen))
+
+let stride_properties =
+  [
+    prop "strided ops match bit-serial reference" stride_case
+      (fun (x, offset, stride) ->
+        let e = ref_extract x ~offset ~stride in
+        let acc = Bignum.Acc.of_nat x in
+        Bignum.equal e (Bignum.extract_stride x ~offset ~stride)
+        && Bignum.equal e (Bignum.Acc.extract_stride acc ~offset ~stride)
+        && Bignum.num_bits e = Bignum.Acc.stride_num_bits acc ~offset ~stride
+        && Bignum.equal (ref_deposit x ~offset ~stride) (Bignum.deposit_stride x ~offset ~stride)
+        && Bignum.equal (ref_deposit x ~offset ~stride)
+             (Bignum.Signed.apply Bignum.zero (Bignum.Signed.deposit_stride x ~offset ~stride)));
+    prop "accumulator matches immutable add/sub" ~count:1000 acc_case (fun (x, ds) ->
+        let acc = Bignum.Acc.of_nat x in
+        List.fold_left
+          (fun expect (neg, mag, shift) ->
+            let d = { Bignum.Signed.neg; mag; shift } in
+            let m = Bignum.shift_left mag (31 * shift) in
+            match if neg then Bignum.sub expect m else Bignum.add expect m with
+            | next ->
+                Bignum.Acc.apply acc d;
+                if not (Bignum.equal next (Bignum.Acc.to_nat acc)) then
+                  QCheck.Test.fail_reportf "after delta: 0x%s, expected 0x%s"
+                    (Bignum.to_hex (Bignum.Acc.to_nat acc)) (Bignum.to_hex next);
+                next
+            | exception Bignum.Underflow ->
+                (match Bignum.Acc.apply acc d with
+                | () -> QCheck.Test.fail_report "underflow not raised"
+                | exception Bignum.Underflow -> ());
+                if not (Bignum.equal expect (Bignum.Acc.to_nat acc)) then
+                  QCheck.Test.fail_report "underflow changed the accumulator";
+                expect)
+          x ds
+        |> Bignum.equal (Bignum.Acc.to_nat acc)
+        && Bignum.Acc.num_bits acc = Bignum.num_bits (Bignum.Acc.to_nat acc)
+        (* strided reads of a buffer with spare capacity *)
+        && List.for_all
+             (fun (offset, stride) ->
+               let e = ref_extract (Bignum.Acc.to_nat acc) ~offset ~stride in
+               Bignum.equal e (Bignum.Acc.extract_stride acc ~offset ~stride)
+               && Bignum.num_bits e = Bignum.Acc.stride_num_bits acc ~offset ~stride)
+             [ (0, 1); (1, 3); (35, 40) ]);
+  ]
+
 let suite =
   [
     ("constants", `Quick, test_constants);
@@ -210,6 +327,6 @@ let suite =
     ("compare", `Quick, test_compare);
     ("signed", `Quick, test_signed);
   ]
-  @ properties
+  @ properties @ stride_properties
 
 let () = Alcotest.run "bignum" [ ("bignum", suite) ]

@@ -223,6 +223,58 @@ let prop_race_outcomes =
          in
          List.length returns = 2 && List.for_all (fun v -> v = 1 || v = 2) returns))
 
+(* [dispose] unwinds suspended and crashed fibers; the world keeps its
+   trace and no process can step again. *)
+let test_dispose () =
+  let prog = race_program () in
+  let w = Sim.run_schedule prog [ 0; 1; 0 ] in
+  Sim.crash w 1;
+  let before = Sim.trace w in
+  Sim.dispose w;
+  Alcotest.(check (list int)) "nothing enabled" [] (Sim.enabled w);
+  Alcotest.(check (list ev)) "trace kept" before (Sim.trace w);
+  Alcotest.check_raises "disposed proc" (Sim.Invalid_schedule "p0 crashed") (fun () ->
+      Sim.step w 0)
+
+let vm_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec find () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line ->
+            if String.length line > 6 && String.sub line 0 6 = "VmRSS:" then
+              Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Option.some
+            else find ()
+      in
+      let r = find () in
+      close_in ic;
+      r
+
+(* A dropped continuation keeps its fiber stack until the program
+   exits; replaying and disposing worlds must not grow the process. *)
+let test_dispose_frees_stacks () =
+  let prog = race_program () in
+  let cycle () =
+    let w = Sim.run_schedule prog [ 0; 1 ] in
+    Sim.crash w 0;
+    Sim.dispose w
+  in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  Gc.full_major ();
+  match vm_rss_kb () with
+  | None -> Alcotest.skip ()
+  | Some before ->
+      for _ = 1 to 100_000 do
+        cycle ()
+      done;
+      Gc.full_major ();
+      let grown_mb = (Option.get (vm_rss_kb ()) - before) / 1024 in
+      if grown_mb >= 64 then Alcotest.failf "VmRSS grew by %d MB over 100k disposed worlds" grown_mb
+
 let suite =
   [
     ("determinism", `Quick, test_determinism);
@@ -242,6 +294,8 @@ let suite =
     ("solo runtime", `Quick, test_solo_runtime);
     ("parallel runtime", `Quick, test_par_runtime);
     prop_race_outcomes;
+    ("dispose", `Quick, test_dispose);
+    ("dispose frees fiber stacks", `Quick, test_dispose_frees_stacks);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
